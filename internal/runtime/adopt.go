@@ -1,5 +1,4 @@
-// Elastic recovery: ownership migration off dead nodes, and speculative
-// replay of lagging ones (Options.Elastic / Options.LagReRequests).
+// Elastic recovery: ownership migration off dead nodes (Options.Elastic).
 //
 // The design rests on three invariants the normal protocol already provides:
 //
@@ -12,14 +11,14 @@
 //     writer chains replayed in place, in the original dependency order.
 //  3. Kernels are deterministic, so a replayed task's output is bit-identical
 //     to the lost original — duplicate publications (a pre-crash in-flight
-//     copy racing the replay, or a laggard finally answering a speculation)
-//     drop idempotently at every receiver, and the final factors match a
-//     crash-free run exactly.
+//     copy racing the replay, or a falsely presumed-dead node still
+//     publishing) drop idempotently at every receiver, and the final factors
+//     match a crash-free run exactly.
 //
 // Adoption therefore migrates tasks, not tiles: the adopter re-runs the dead
 // node's full task set under the original versioned tags, and downstream
 // consumers cannot tell the difference. The adopter is chosen without any
-// coordination — hetero.Fastest over the locally known alive set — because
+// coordination — the lowest rank in the locally known alive set — because
 // every survivor evaluates the same deterministic rule on the same NoteDown
 // gossip. The scope is one death (or any sequence of deaths that leaves the
 // deterministic choice unambiguous); concurrent independent deaths with
@@ -32,7 +31,6 @@ import (
 
 	"anybc/internal/cluster"
 	"anybc/internal/dag"
-	"anybc/internal/hetero"
 	"anybc/internal/sched"
 	"anybc/internal/tile"
 )
@@ -101,7 +99,10 @@ func (e *engine) markDead(rank int, gossip bool) {
 	if gossip {
 		e.comm.Notify(cluster.NoteDown, rank)
 	}
-	adopter := hetero.Fastest(e.speeds, func(r int) bool { return !e.dead[r] }, e.comm.Size())
+	adopter := 0
+	for e.dead[adopter] {
+		adopter++ // never past e.rank, which is alive in its own view
+	}
 	e.adoptedBy[rank] = adopter
 	if e.rec != nil {
 		e.rec.RecordFault("node-down", rank, adopter,
@@ -140,68 +141,10 @@ func (e *engine) adoptNode(rank int) {
 			tasks = append(tasks, t)
 		}
 	})
-	n := e.adoptTasks(tasks, false)
+	e.adoptTasks(tasks)
 	if e.rec != nil {
 		e.rec.RecordFault("adopt", e.rank, rank,
-			fmt.Sprintf("%d tasks", n), time.Since(e.epoch).Seconds())
-	}
-}
-
-// adoptChain speculatively adopts the producer chain of one overdue tile
-// version whose owner is alive but lagging: the closure of the producer's
-// ancestors within the laggard's own tasks, cut wherever a version is
-// already at hand in recv. The replay runs at demoted priority
-// (sched.Demote) so it never starves this node's own critical path, and its
-// outputs are never sent back to the laggard.
-func (e *engine) adoptChain(tag cluster.Tag) {
-	root, ok := e.producerOf(tag)
-	if !ok {
-		return
-	}
-	lag := e.owner(int(tag.I), int(tag.J))
-	visited := make(map[int]bool)
-	var chain []dag.Task
-	var walk func(t dag.Task)
-	walk = func(t dag.Task) {
-		id := e.g.ID(t)
-		if visited[id] {
-			return
-		}
-		visited[id] = true
-		if _, mine := e.localIdx[id]; mine {
-			return // native, or adopted by an earlier migration
-		}
-		e.g.Dependencies(t, func(dep dag.Task) {
-			di, dj := e.g.OutputTile(dep)
-			if e.owner(di, dj) != lag {
-				return // non-laggard inputs resolve via recv or Request
-			}
-			dtag := cluster.Tag{I: int32(di), J: int32(dj), V: e.ver[e.g.ID(dep)]}
-			if _, held := e.recv[dtag]; held {
-				return // payload at hand: the chain cuts here
-			}
-			walk(dep)
-		})
-		chain = append(chain, t) // post-order: dependencies first
-	}
-	walk(root)
-	if len(chain) == 0 {
-		return
-	}
-	n := e.adoptTasks(chain, true)
-	if e.rec != nil {
-		e.rec.RecordFault("speculate", e.rank, lag,
-			fmt.Sprintf("%d tasks for (%d,%d)v%d", n, tag.I, tag.J, tag.V),
-			time.Since(e.epoch).Seconds())
-	}
-	// Every tag the chain will produce locally stops escalating its (alive)
-	// owner toward presumed death: the replay is already racing the wire.
-	for _, t := range chain {
-		oi, oj := e.g.OutputTile(t)
-		ptag := cluster.Tag{I: int32(oi), J: int32(oj), V: e.ver[e.g.ID(t)]}
-		if p := e.pending[ptag]; p != nil {
-			p.speculated = true
-		}
+			fmt.Sprintf("%d tasks", len(tasks)), time.Since(e.epoch).Seconds())
 	}
 }
 
@@ -246,8 +189,8 @@ func (e *engine) stashPublished(vtag cluster.Tag) {
 // marks the tag seen, and releases the waiters — exactly what onArrival
 // would have done had the version crossed the wire. Waiters and pending are
 // consumed here, so a stale copy arriving later (a pre-crash in-flight send,
-// or a laggard finally answering) drops through the ordinary duplicate
-// paths without double-decrementing any dependency count.
+// or a falsely presumed-dead owner finally answering) drops through the
+// ordinary duplicate paths without double-decrementing any dependency count.
 func (e *engine) fulfillLocal(netTag cluster.Tag, out *tile.Tile) {
 	if e.seen[netTag] {
 		return // the version arrived over the wire first; waiters were fed then
@@ -279,13 +222,14 @@ func (e *engine) fulfillLocal(netTag cluster.Tag, out *tile.Tile) {
 	}
 }
 
-// adoptTasks wires the given tasks into this engine's scheduling state and
-// returns how many were actually added (tasks already native or previously
-// adopted are skipped). demote selects the speculative priority band.
+// adoptTasks wires a dead rank's task set into this engine's scheduling
+// state. markDead adopts each rank at most once, and a dead rank's tasks are
+// never native here, so every task is new to the engine.
 //
 // Pass 1 registers every task (so intra-set dependency resolution sees the
-// whole closure regardless of order); pass 2 resolves each task's
-// dependencies and input tiles:
+// whole set regardless of order); pass 2 resolves each task's dependencies
+// and input tiles. The set holds every writer of the dead rank's tiles, so
+// each output tile replays its whole writer chain here:
 //
 //   - a dependency adopted here releases its consumer directly at completion
 //     (both sides replay in place on the regenerated buffers);
@@ -294,38 +238,28 @@ func (e *engine) fulfillLocal(netTag cluster.Tag, out *tile.Tile) {
 //   - anything else is awaited exactly like a network arrival, with an
 //     immediate Request because the version may never have been addressed to
 //     this node in the original schedule.
-func (e *engine) adoptTasks(tasks []dag.Task, demote bool) int {
-	added := make([]int, 0, len(tasks))
+func (e *engine) adoptTasks(tasks []dag.Task) {
+	first := len(e.owned)
 	for _, t := range tasks {
 		id := e.g.ID(t)
-		if _, ok := e.localIdx[id]; ok {
-			continue
-		}
-		idx := len(e.owned)
+		e.localIdx[id] = len(e.owned)
 		e.owned = append(e.owned, t)
-		e.localIdx[id] = idx
 		e.adoptedSet[id] = true
-		key := sched.Band(sched.Key(t), e.band)
-		if demote {
-			key = sched.Demote(key)
-		}
-		e.keys = append(e.keys, key)
+		e.keys = append(e.keys, sched.Key(t))
 		e.remaining = append(e.remaining, 0)
 		e.completed = append(e.completed, false)
 		e.ins = append(e.ins, nil)
 		e.inbuf = append(e.inbuf, nil)
 		e.total++
-		added = append(added, idx)
 	}
 	now := time.Now()
-	for _, idx := range added {
+	for idx := first; idx < len(e.owned); idx++ {
 		t := e.owned[idx]
 		oi, oj := e.g.OutputTile(t)
 		outTag := cluster.Tag{I: int32(oi), J: int32(oj)}
 
 		// Dependency accounting: how many release events this task awaits,
 		// and through which path each arrives.
-		var selfPrev dag.Task
 		hasSelfPrev := false
 		rem := int32(0)
 		e.g.Dependencies(t, func(dep dag.Task) {
@@ -333,7 +267,6 @@ func (e *engine) adoptTasks(tasks []dag.Task, demote bool) int {
 			di, dj := e.g.OutputTile(dep)
 			if di == oi && dj == oj {
 				hasSelfPrev = true
-				selfPrev = dep
 			}
 			vtag := cluster.Tag{I: int32(di), J: int32(dj), V: e.ver[did]}
 			if li, ok := e.localIdx[did]; ok {
@@ -355,11 +288,6 @@ func (e *engine) adoptTasks(tasks []dag.Task, demote bool) int {
 				}
 				return
 			}
-			if di == oi && dj == oj {
-				// Chain cut below this writer: the received predecessor
-				// version seeds the replay buffer (below); nothing to await.
-				return
-			}
 			if _, held := e.recv[vtag]; held {
 				return // payload at hand
 			}
@@ -371,9 +299,8 @@ func (e *engine) adoptTasks(tasks []dag.Task, demote bool) int {
 			delete(e.seen, vtag) // let a re-requested copy back in
 			if e.pending[vtag] == nil {
 				e.pending[vtag] = &pendingWait{
-					deadline:   now.Add(e.arrival),
-					backoff:    e.arrival,
-					speculated: demote,
+					deadline: now.Add(e.arrival),
+					backoff:  e.arrival,
 				}
 				if target := e.liveOwner(e.owner(di, dj)); target >= 0 && target != e.rank {
 					e.comm.Request(target, vtag)
@@ -384,21 +311,11 @@ func (e *engine) adoptTasks(tasks []dag.Task, demote bool) int {
 		e.remaining[idx] = rem
 
 		// Replay buffer for the output tile: the first adopted writer
-		// regenerates it from gen; a chain cut below the first writer seeds
-		// it from the received predecessor version; an adopted previous
-		// writer leaves creation to its own step (it completes before this
-		// task can dispatch, and dispatch resolves buffers lazily).
-		if _, ok := e.tiles[outTag]; !ok {
-			if !hasSelfPrev {
-				e.tiles[outTag] = e.gen(oi, oj)
-			} else if pid := e.g.ID(selfPrev); !e.adoptedSet[pid] {
-				ptag := cluster.Tag{I: int32(oi), J: int32(oj), V: e.ver[pid]}
-				m, held := e.recv[ptag]
-				if !held {
-					panic(fmt.Sprintf("runtime: node %d: writer chain of %v cut without predecessor %v at hand", e.rank, t, ptag))
-				}
-				e.tiles[outTag] = m.Payload.Clone()
-			}
+		// regenerates it from gen; a later writer leaves creation to the
+		// first (it completes before this task can dispatch, and dispatch
+		// resolves buffers lazily).
+		if _, ok := e.tiles[outTag]; !ok && !hasSelfPrev {
+			e.tiles[outTag] = e.gen(oi, oj)
 		}
 
 		// Input references, in InputTiles visit order, mirroring newEngine:
@@ -430,11 +347,6 @@ func (e *engine) adoptTasks(tasks []dag.Task, demote bool) int {
 				refs = append(refs, inputRef{tag: base})
 				return
 			}
-			if i == oi && j == oj {
-				// Chain cut: the seeded replay buffer holds this version.
-				refs = append(refs, inputRef{tag: base})
-				return
-			}
 			// Snapshot read: a native version (stashed from the published
 			// cache) or a remote version (recv-held or awaited).
 			refs = append(refs, inputRef{remote: true, tag: vtag})
@@ -451,5 +363,4 @@ func (e *engine) adoptTasks(tasks []dag.Task, demote bool) int {
 			e.pushReady(idx)
 		}
 	}
-	return len(added)
 }

@@ -216,84 +216,6 @@ func TestElasticCholeskyCrash(t *testing.T) {
 	}
 }
 
-// TestElasticSpeedsPickFastestAdopter: with a heterogeneous speed model the
-// deterministic adopter rule must pick the fastest survivor, not the lowest
-// rank — every node evaluates hetero.Fastest on the same gossip, so exactly
-// one node adopts.
-func TestElasticSpeedsPickFastestAdopter(t *testing.T) {
-	const mt, b = 8, 4
-	const victim = 2
-	const fastest = 3
-	d := dist.NewTwoDBC(2, 2)
-	g := dag.NewLU(mt)
-	crashAt := ownedTaskCount(g, d, victim) / 2
-
-	base, _, err := FactorLU(mt, b, d, GenDiagDominant(mt, b, 33), Options{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	speeds := []float64{1, 1, 1, 2.5} // rank 3 is the designated heir
-	cfg := chaos.Config{Seed: 7, CrashAtTask: map[int]int{victim: crashAt}}
-	opt, plan, rec := chaosOpts(t, cfg, 30*time.Millisecond, 1)
-	opt.Elastic = true
-	opt.Speeds = speeds
-	dumpChaosArtifacts(t, "elastic-speeds", rec, plan)
-	err = runWithDeadline(t, func() error {
-		fact, rep, err := FactorLU(mt, b, d, GenDiagDominant(mt, b, 33), opt)
-		if err != nil {
-			return err
-		}
-		identicalLU(t, "hetero adopter", base, fact, mt)
-		checkAdoption(t, rep, victim, fastest)
-		return nil
-	})
-	if err != nil {
-		t.Fatalf("hetero-adopter run failed: %v", err)
-	}
-}
-
-// TestElasticLagSpeculation drives the lagging-node path: every delivery is
-// delayed far past the arrival timeout, so consumers exhaust the small
-// LagReRequests budget and speculatively replay the laggard's producer
-// chains at demoted priority instead of idling. The originals land later and
-// must drop as idempotent duplicates — factors stay bit-identical and the
-// report counts the speculative re-executions.
-func TestElasticLagSpeculation(t *testing.T) {
-	const mt, b = 8, 4
-	d := dist.NewTwoDBC(2, 2)
-	base, _, err := FactorLU(mt, b, d, GenDiagDominant(mt, b, 34), Options{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := chaos.Config{Seed: 11, PDelay: 1.0, MaxDelay: 80 * time.Millisecond}
-	opt, plan, rec := chaosOpts(t, cfg, 2*time.Millisecond, 1)
-	opt.Elastic = true
-	opt.LagReRequests = 2
-	opt.MaxReRequests = -1 // never presume a merely slow node dead here
-	dumpChaosArtifacts(t, "lag-speculation", rec, plan)
-	err = runWithDeadline(t, func() error {
-		fact, rep, err := FactorLU(mt, b, d, GenDiagDominant(mt, b, 34), opt)
-		if err != nil {
-			return err
-		}
-		identicalLU(t, "speculative run", base, fact, mt)
-		spec := 0
-		for _, rs := range rep.Resilience {
-			spec += rs.Speculative
-			if rs.Died {
-				t.Errorf("a lagging node was reported dead; speculation must not kill")
-			}
-		}
-		if spec == 0 {
-			t.Error("80ms delays against a 2ms timeout triggered no speculation")
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatalf("lag-speculation run failed: %v", err)
-	}
-}
-
 // TestReRequestBudgetExhausted pins the retry cap: a version that stays
 // undelivered through MaxReRequests re-requests must fail the run with a
 // descriptive ErrUndelivered naming the tile, its owner, and the budget —

@@ -75,8 +75,7 @@
 // Options.Elastic extends resilience to topology change: a node that dies
 // mid-run no longer aborts the factorization — a deterministically chosen
 // survivor adopts its unfinished tasks and republishes their outputs under
-// the original versioned tags, and lagging owners' work can be replayed
-// speculatively at demoted priority (see adopt.go for the full design).
+// the original versioned tags (see adopt.go for the full design).
 //
 // # Tracing
 //
@@ -166,20 +165,15 @@ type Options struct {
 	// Elastic arms ownership migration: a node that crashes mid-run no
 	// longer aborts the whole factorization. The dying node announces
 	// itself (cluster.NoteDown), a deterministically chosen survivor — the
-	// fastest alive node under Speeds, ties to the lowest rank — adopts the
-	// dead node's tasks by replaying them from the initial tile generator
-	// and the published-version caches of the surviving owners, and
-	// republishes the results under the original versioned tags, so
-	// downstream consumers cannot tell the migration happened. Elastic
-	// implies the re-request protocol; ArrivalTimeout is defaulted when
-	// unset. Exactly-once delivery is not required: replayed kernels are
-	// deterministic, so duplicate publications drop idempotently and final
-	// factors stay bit-identical to a crash-free run.
+	// lowest alive rank — adopts the dead node's tasks by replaying them
+	// from the initial tile generator and the published-version caches of
+	// the surviving owners, and republishes the results under the original
+	// versioned tags, so downstream consumers cannot tell the migration
+	// happened. Elastic implies the re-request protocol; ArrivalTimeout is
+	// defaulted when unset. Exactly-once delivery is not required: replayed
+	// kernels are deterministic, so duplicate publications drop
+	// idempotently and final factors stay bit-identical to a crash-free run.
 	Elastic bool
-	// Speeds gives the relative node speeds (internal/hetero's model) the
-	// elastic adopter rule consults; nil means homogeneous. Length must be
-	// the node count when set.
-	Speeds []float64
 	// MaxReRequests caps how many times one awaited tile version is
 	// re-requested before the node gives up on its owner: zero means the
 	// default (50), negative means unlimited (the pre-cap behavior). On an
@@ -187,14 +181,6 @@ type Options struct {
 	// the owner, tag, and retry count; an elastic node instead presumes the
 	// owner dead, gossips cluster.NoteDown, and adopts its work.
 	MaxReRequests int
-	// LagReRequests, in elastic mode, is the re-request attempt count after
-	// which a still-alive but lagging owner's unfinished work becomes
-	// eligible for speculative adoption: the waiting node replays the
-	// overdue version's producer chain itself, at demoted scheduler
-	// priority (sched.Demote), racing the laggard. Whichever copy lands
-	// first wins; the other drops as an idempotent duplicate. Zero disables
-	// speculation.
-	LagReRequests int
 	// Cluster, when non-nil, runs the job over this existing shared cluster
 	// instead of creating a private one: the engines use the job-scoped
 	// endpoints of Job (cluster.JobComm), so many concurrent Runs multiplex
@@ -218,14 +204,6 @@ type Options struct {
 	// On a shared cluster only this job's namespace is poisoned; other
 	// tenants are untouched.
 	Context context.Context
-	// PriorityBand places every task key of this run in a cross-job
-	// scheduler priority band (sched.Band): band 0 — the default — is the
-	// most urgent, higher bands sort strictly after every lower band while
-	// preserving their internal critical-path order. The multi-tenant
-	// service maps job priorities to bands so co-scheduled jobs' tasks
-	// order consistently wherever they meet one queue. Must lie in
-	// [0, sched.MaxBand].
-	PriorityBand int
 }
 
 // Report summarizes one distributed execution.
@@ -285,10 +263,6 @@ type ResilienceStats struct {
 	// Adopted counts the dead-node tasks this node re-ran as the elastic
 	// adopter: the migration that let the run finish despite the crash.
 	Adopted int
-	// Speculative counts the lagging-node tasks this node re-ran
-	// speculatively (Options.LagReRequests) while their owner was still
-	// alive.
-	Speculative int
 	// Died reports that this node crashed mid-run (injected or presumed);
 	// its unfinished work was adopted by a survivor.
 	Died bool
@@ -318,8 +292,9 @@ type SchedStats struct {
 	// peaks mean it is the bottleneck.
 	ReadyPeak int
 	// DuplicateDrops counts identical re-delivered tile versions that were
-	// dropped idempotently instead of crashing the node (see onArrival).
-	// Always zero under the current transport, which never re-delivers.
+	// dropped idempotently instead of crashing the node (see onArrival):
+	// chaos duplicates and re-request redeliveries that lost the race to
+	// the first copy. Zero on a fault-free run.
 	DuplicateDrops int
 	// DispatchedByKind counts dispatched kernels per task-kind name.
 	DispatchedByKind map[string]int
@@ -336,17 +311,11 @@ func Run(g dag.Graph, d dist.Distribution, b int,
 	if opt.Workers <= 0 {
 		opt.Workers = 1
 	}
-	if opt.PriorityBand < 0 || opt.PriorityBand > sched.MaxBand {
-		return nil, fmt.Errorf("runtime: priority band %d outside [0, %d]", opt.PriorityBand, sched.MaxBand)
-	}
 	ver, err := prevalidate(g, d)
 	if err != nil {
 		return nil, err
 	}
 	P := d.Nodes()
-	if opt.Elastic && opt.Speeds != nil && len(opt.Speeds) != P {
-		return nil, fmt.Errorf("runtime: %d speeds for %d nodes", len(opt.Speeds), P)
-	}
 	var net cluster.Network
 	if opt.Chaos != nil {
 		net = opt.Chaos
@@ -505,7 +474,6 @@ func Run(g dag.Graph, d dist.Distribution, b int,
 			Redelivered: int(e.redelivered.Load()),
 			Recovered:   e.recovered,
 			Adopted:     e.adopted,
-			Speculative: e.speculative,
 			Died:        e.died,
 		}
 		rep.ForwardedPerNode[rank] = e.forwarded + int(e.forwardedLate.Load())
@@ -585,7 +553,6 @@ type engine struct {
 	b       int
 	kern    Kernel
 	workers int
-	band    int     // cross-job priority band applied to every task key
 	ver     []int32 // per-task output versions (shared, read-only)
 	rec     *trace.Recorder
 	epoch   time.Time
@@ -664,28 +631,25 @@ type engine struct {
 
 	// Elastic recovery (armed by Options.Elastic): dead tracks crashed and
 	// presumed-dead peers, adoptedBy the survivor that re-runs each dead
-	// node's tasks (the deterministic hetero.Fastest rule, so every node
-	// agrees without coordination), peerDone the completion barrier that
-	// keeps every node's event loop serving re-requests and adoptions until
-	// the whole cluster has finished. completed/adoptedSet/taskByTag back
-	// the adoption state machine in adopt.go; total is the node's current
-	// completion target (owned tasks plus adoptions). maxReq/lagReq are the
-	// retry budgets of Options.
-	elastic     bool
-	speeds      []float64
-	maxReq      int
-	lagReq      int
-	dead        []bool
-	adoptedBy   []int
-	peerDone    []bool
-	doneSent    bool
-	died        bool
-	total       int
-	completed   []bool                   // per owned index: task has finished here
-	adoptedSet  map[int]bool             // graph task id -> adopted into this engine
-	taskByTag   map[cluster.Tag]dag.Task // producer task of every output version (lazy)
-	adopted     int                      // Resilience.Adopted
-	speculative int                      // Resilience.Speculative
+	// node's tasks (the lowest alive rank, so every node agrees without
+	// coordination), peerDone the completion barrier that keeps every
+	// node's event loop serving re-requests and adoptions until the whole
+	// cluster has finished. completed/adoptedSet/taskByTag back the
+	// adoption state machine in adopt.go; total is the node's current
+	// completion target (owned tasks plus adoptions). maxReq is the retry
+	// budget of Options.MaxReRequests.
+	elastic    bool
+	maxReq     int
+	dead       []bool
+	adoptedBy  []int
+	peerDone   []bool
+	doneSent   bool
+	died       bool
+	total      int
+	completed  []bool                   // per owned index: task has finished here
+	adoptedSet map[int]bool             // graph task id -> adopted into this engine
+	taskByTag  map[cluster.Tag]dag.Task // producer task of every output version (lazy)
+	adopted    int                      // Resilience.Adopted
 
 	// Resilience observability (Report.Resilience). redelivered is atomic
 	// because the late request server increments it concurrently with the
@@ -697,10 +661,9 @@ type engine struct {
 
 // pendingWait is the re-request state of one awaited remote tile version.
 type pendingWait struct {
-	deadline   time.Time
-	backoff    time.Duration
-	attempts   int
-	speculated bool // an adoption already races this tag; never escalate it
+	deadline time.Time
+	backoff  time.Duration
+	attempts int
 }
 
 func newEngine(rank int, comm *cluster.Comm, g dag.Graph, d dist.Distribution,
@@ -716,7 +679,6 @@ func newEngine(rank int, comm *cluster.Comm, g dag.Graph, d dist.Distribution,
 		b:          b,
 		kern:       kern,
 		workers:    opt.Workers,
-		band:       opt.PriorityBand,
 		ver:        ver,
 		rec:        opt.Recorder,
 		epoch:      epoch,
@@ -732,9 +694,7 @@ func newEngine(rank int, comm *cluster.Comm, g dag.Graph, d dist.Distribution,
 		chaos:      opt.Chaos,
 		arrival:    opt.ArrivalTimeout,
 		elastic:    opt.Elastic,
-		speeds:     opt.Speeds,
 		maxReq:     opt.MaxReRequests,
-		lagReq:     opt.LagReRequests,
 	}
 	e.redg, _ = g.(dag.ReduceGraph)
 	// opt.Workers is already normalized (Run is the only normalization
@@ -784,7 +744,7 @@ func newEngine(rank int, comm *cluster.Comm, g dag.Graph, d dist.Distribution,
 	e.ins = make([][]inputRef, len(e.owned))
 	e.keys = make([]int64, len(e.owned))
 	for idx, t := range e.owned {
-		e.keys[idx] = sched.Band(sched.Key(t), e.band)
+		e.keys[idx] = sched.Key(t)
 		e.remaining[idx] = int32(e.g.NumDependencies(t))
 		e.g.Dependencies(t, func(dep dag.Task) {
 			di, dj := e.g.OutputTile(dep)
@@ -1153,8 +1113,7 @@ func (e *engine) run() error {
 // resort: a tag whose retry budget (Options.MaxReRequests) runs dry fails
 // the node with ErrUndelivered on a plain resilient run, or — under elastic
 // recovery — presumes the silent owner dead, gossips cluster.NoteDown, and
-// restarts the budget against the adopter. Before that point, a lagging but
-// answering owner's chain can be adopted speculatively (Options.LagReRequests).
+// restarts the budget against the adopter.
 func (e *engine) onTick() error {
 	now := time.Now()
 	for tag, p := range e.pending {
@@ -1170,7 +1129,7 @@ func (e *engine) onTick() error {
 			p.deadline = now.Add(p.backoff)
 			continue
 		}
-		if p.attempts >= e.maxReq && e.maxReq > 0 && !p.speculated {
+		if p.attempts >= e.maxReq && e.maxReq > 0 {
 			if !e.elastic {
 				return fmt.Errorf("node %d: tile (%d,%d) v%d from node %d undelivered after %d re-requests: %w",
 					e.rank, tag.I, tag.J, tag.V, target, p.attempts, ErrUndelivered)
@@ -1181,19 +1140,6 @@ func (e *engine) onTick() error {
 			// every tag the dead node owed us.
 			e.markDead(target, true)
 			if target = e.liveOwner(origOwner); target == e.rank || target < 0 {
-				continue
-			}
-		}
-		if e.elastic && e.lagReq > 0 && p.attempts >= e.lagReq && !p.speculated && !e.dead[origOwner] {
-			// The owner is alive but lagging: speculatively replay the
-			// overdue version's producer chain at demoted priority, racing
-			// the laggard. Whichever copy lands first wins; the loser drops
-			// as an idempotent duplicate.
-			e.adoptChain(tag)
-			p.speculated = true
-			if _, still := e.pending[tag]; !still {
-				// The chain replay fulfilled the tag synchronously (every
-				// input was already at hand); nothing left to re-request.
 				continue
 			}
 		}
@@ -1283,13 +1229,8 @@ func (e *engine) onComplete(idx int) {
 	netTag := cluster.Tag{I: int32(oi), J: int32(oj), V: v}
 
 	tAdopted := e.adoptedSet[e.g.ID(t)]
-	origOwner := e.owner(oi, oj)
 	if tAdopted {
-		if sched.Demoted(e.keys[idx]) {
-			e.speculative++
-		} else {
-			e.adopted++
-		}
+		e.adopted++
 	}
 
 	hadRemote := false
@@ -1310,23 +1251,12 @@ func (e *engine) onComplete(idx int) {
 		if sOwner == e.rank {
 			return // natively local edge: no wire delivery in any schedule
 		}
-		// The successor's original rank consumes this version over the wire
-		// regardless of whether a copy of the task also runs here: adopting a
-		// task — fully or speculatively — never cancels the delivery to the
-		// rank that still natively awaits it (a speculated successor's owner
-		// is alive and computing; skipping it would strand its native copy
-		// with a version that was never broadcast and so can never heal).
 		hadRemote = true
 		dst := e.liveOwner(sOwner)
 		if dst == e.rank || dst < 0 {
 			// Our own adoptee, or owned by a dead node nobody has adopted
 			// yet: its eventual adopter pulls the version via Request from
 			// our published cache.
-			return
-		}
-		if tAdopted && dst == origOwner && !e.dead[origOwner] {
-			// Speculative replay of a lagging-but-alive node's task: never
-			// feed the original owner its own output.
 			return
 		}
 		if !e.dstSeen[dst] {
@@ -1353,9 +1283,9 @@ func (e *engine) onComplete(idx int) {
 		// Snapshot the published version for the re-request protocol: out is
 		// updated in place by this tile's later writers, so the broadcast
 		// content must be preserved separately. Snapshotted whenever any
-		// remote consumer exists — even one whose death (or speculative
-		// skip) emptied today's destination list — because that consumer's
-		// adopter may still re-request the version.
+		// remote consumer exists — even one whose death emptied today's
+		// destination list — because that consumer's adopter may still
+		// re-request the version.
 		e.pubMu.Lock()
 		e.published[netTag] = out.Clone()
 		e.pubMu.Unlock()

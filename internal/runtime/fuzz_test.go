@@ -57,7 +57,7 @@ func chainScenario() protoScenario {
 			}
 			return 1
 		}},
-		b: 1,
+		b:   1,
 		gen: func(i, j int) *tile.Tile { return tile.New(1, 1) },
 		kern: func(task dag.Task, out *tile.Tile, inputs []*tile.Tile) error {
 			if int(task.I)%2 == 0 {

@@ -42,10 +42,10 @@ func newTestGraph(tiles int, tasks []testTask) *testGraph {
 	return g
 }
 
-func (g *testGraph) Name() string          { return "test" }
-func (g *testGraph) Tiles() int            { return g.tiles }
-func (g *testGraph) NumTasks() int         { return len(g.tasks) }
-func (g *testGraph) ID(t dag.Task) int     { return int(t.I) }
+func (g *testGraph) Name() string           { return "test" }
+func (g *testGraph) Tiles() int             { return g.tiles }
+func (g *testGraph) NumTasks() int          { return len(g.tasks) }
+func (g *testGraph) ID(t dag.Task) int      { return int(t.I) }
 func (g *testGraph) TaskOf(id int) dag.Task { return dag.Task{Kind: kTest, I: int32(id)} }
 
 func (g *testGraph) Dependencies(t dag.Task, visit func(dag.Task)) {
@@ -249,9 +249,9 @@ func TestPrevalidateUnorderedIntermediateRead(t *testing.T) {
 	// A local reader of an intermediate version with no ordering against the
 	// next in-place writer: the read races the overwrite.
 	g := newTestGraph(2, []testTask{
-		{out: [2]int{0, 0}},                                     // W0
+		{out: [2]int{0, 0}}, // W0
 		{out: [2]int{1, 0}, deps: []int{0}, ins: [][2]int{{0, 0}}}, // reader of v0
-		{out: [2]int{0, 0}, deps: []int{0}},                     // W1, unordered wrt reader
+		{out: [2]int{0, 0}, deps: []int{0}},                        // W1, unordered wrt reader
 	})
 	d := testDist{p: 1, owner: func(i, j int) int { return 0 }}
 	_, err := Run(g, d, 1, func(i, j int) *tile.Tile { return tile.New(1, 1) },

@@ -36,7 +36,6 @@ import (
 	"anybc/internal/cluster"
 	"anybc/internal/matrix"
 	"anybc/internal/runtime"
-	"anybc/internal/sched"
 	"anybc/internal/tile"
 )
 
@@ -97,10 +96,9 @@ type JobSpec struct {
 	// is reproducible (and bit-identical to a solo runtime run of the same
 	// seed).
 	Seed int64 `json:"seed,omitempty"`
-	// Priority orders admission: higher priorities start first. Negative
-	// priorities additionally demote the job's task keys into a background
-	// scheduler band (sched.Band), so background work orders after
-	// foreground work wherever their tasks meet one queue.
+	// Priority orders admission only: higher priorities start first. A
+	// running job's tasks dispatch on its own engines, so priority never
+	// changes its schedule or its factors.
 	Priority int `json:"priority,omitempty"`
 	// Workers is the per-node worker count; zero means the service default.
 	Workers int `json:"workers,omitempty"`
@@ -199,7 +197,6 @@ func (c Config) withDefaults() Config {
 type job struct {
 	id       JobID
 	spec     JobSpec
-	band     int
 	crash    *chaos.Plan
 	state    JobState
 	err      error
@@ -357,20 +354,6 @@ func parseCrash(s string, P int) (rank, task int, err error) {
 	return rank, task, nil
 }
 
-// band maps a job priority to the cross-job scheduler band: non-negative
-// priorities share the foreground band 0, negative priorities fall into
-// successively later background bands.
-func band(priority int) int {
-	if priority >= 0 {
-		return 0
-	}
-	b := -priority
-	if b > sched.MaxBand {
-		b = sched.MaxBand
-	}
-	return b
-}
-
 // Submit validates spec and enqueues the job, returning its id. Rejections
 // (wrapped ErrRejected) are immediate and descriptive: malformed specs,
 // shapes over the memory budget, unknown schemes, and a full admission queue
@@ -414,7 +397,6 @@ func (s *Server) Submit(spec JobSpec) (JobID, error) {
 	j := &job{
 		id:     s.nextID,
 		spec:   spec,
-		band:   band(spec.Priority),
 		crash:  plan,
 		state:  StateQueued,
 		submit: time.Now(),
@@ -491,8 +473,7 @@ func (s *Server) runJob(j *job, memReserved int64) {
 }
 
 // execute runs the factorization itself: cached distribution and graph, the
-// job's namespace on the shared cluster, the job's cancellation context and
-// priority band.
+// job's namespace on the shared cluster and the job's cancellation context.
 func (s *Server) execute(j *job) (*Result, *runtime.Report, error) {
 	spec := j.spec
 	d, err := s.cache.Dist(spec.Scheme, spec.P)
@@ -504,13 +485,12 @@ func (s *Server) execute(j *job) (*Result, *runtime.Report, error) {
 		return nil, nil, err
 	}
 	opt := runtime.Options{
-		Workers:      spec.Workers,
-		Cluster:      s.cl,
-		Job:          int32(j.id),
-		Context:      j.ctx,
-		PriorityBand: j.band,
-		Elastic:      spec.Elastic,
-		Chaos:        j.crash,
+		Workers: spec.Workers,
+		Cluster: s.cl,
+		Job:     int32(j.id),
+		Context: j.ctx,
+		Elastic: spec.Elastic,
+		Chaos:   j.crash,
 	}
 	switch spec.Kind {
 	case KindLU:
